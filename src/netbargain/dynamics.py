@@ -41,32 +41,41 @@ class EdgeIndex:
     """Static directed-edge indexing for one instance.
 
     Undirected edge k = (u,v,w) owns directed slots 2k (u->v) and 2k+1
-    (v->u). `incoming` is an (n, maxdeg+1) matrix of directed ids whose
-    row i lists the edges pointing into i, padded with a sentinel slot
-    that always carries offer 0 (this realizes "max over nothing is 0").
+    (v->u). Incoming edges are stored in CSR form sorted by head:
+    `in_ids[in_ptr[i]:in_ptr[i+1]]` lists the directed ids pointing into
+    i in increasing order. Every array holds O(n + m) entries, so the
+    kernels cost O(n + m) per step whatever the degree distribution.
     """
 
     def __init__(self, inst: Instance):
         self.instance = inst
         n, m = inst.n, inst.m
         self.n, self.m = n, m
-        self.src = np.empty(2 * m, dtype=np.int64)
-        self.dst = np.empty(2 * m, dtype=np.int64)
-        self.w = np.empty(2 * m, dtype=np.float64)
-        for k, (u, v, w) in enumerate(inst.edges):
-            self.src[2 * k], self.dst[2 * k], self.w[2 * k] = u, v, w
-            self.src[2 * k + 1], self.dst[2 * k + 1], self.w[2 * k + 1] = v, u, w
+        table = np.array(inst.edges, dtype=np.float64).reshape(m, 3)
+        ends = table[:, :2].astype(np.int64)
+        self.src = ends.ravel()
+        self.dst = ends[:, ::-1].ravel()
+        self.w = np.repeat(table[:, 2], 2)
         self.rev = np.arange(2 * m, dtype=np.int64) ^ 1
-        indeg = np.bincount(self.dst, minlength=n) if m else np.zeros(n, dtype=np.int64)
-        width = int(indeg.max()) + 1 if m else 1
-        self.incoming = np.full((n, width), 2 * m, dtype=np.int64)
-        fill = np.zeros(n, dtype=np.int64)
-        for d in range(2 * m):
-            i = self.dst[d]
-            self.incoming[i, fill[i]] = d
-            fill[i] += 1
-        self.pos = {(int(self.src[d]), int(self.dst[d])): d for d in range(2 * m)}
+        indeg = np.bincount(self.dst, minlength=n)
+        self.in_ids = np.argsort(self.dst, kind="stable")
+        self.in_ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(indeg, out=self.in_ptr[1:])
+        # segmented top-2 gathers; segments are the nodes with incoming edges
+        has_in = indeg > 0
+        self._heads = np.flatnonzero(has_in)
+        self._starts = self.in_ptr[self._heads]
+        self._seg = np.repeat(np.arange(self._heads.size), indeg[has_in])  # per CSR slot
+        self._src_seg = (np.cumsum(has_in) - 1)[self.src]  # per directed edge
+        csr_pos = np.empty(2 * m, dtype=np.int64)
+        csr_pos[self.in_ids] = np.arange(2 * m)
+        self._rev_pos = csr_pos[self.rev]  # CSR slot of each edge's reverse
+        self.pos = dict(zip(zip(self.src.tolist(), self.dst.tolist()), range(2 * m)))
         self.W = max_weight(inst)
+
+    def incoming_ids(self, i: int) -> np.ndarray:
+        """Directed ids of the edges pointing into node i, in increasing order."""
+        return self.in_ids[self.in_ptr[i] : self.in_ptr[i + 1]]
 
     def directed_pairs(self) -> list[tuple[int, int]]:
         return [(int(self.src[d]), int(self.dst[d])) for d in range(2 * self.m)]
@@ -90,24 +99,31 @@ class EdgeIndex:
         surplus = np.maximum(self.w - alpha - a_rev, 0.0)
         return first - 0.5 * surplus
 
-    def _padded(self, m: np.ndarray) -> np.ndarray:
-        pad = np.zeros(m.shape[:-1] + (1,))
-        return np.concatenate([m, pad], axis=-1)[..., self.incoming]
+    def _best_in(self, offers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Offers in CSR order floored at 0, and each head's best of them.
+
+        The floor realizes "max over nothing is 0" without a sentinel slot.
+        """
+        clipped = np.maximum(offers[..., self.in_ids], 0.0)
+        return clipped, np.maximum.reduceat(clipped, self._starts, axis=-1)
 
     def earnings(self, offers: np.ndarray) -> np.ndarray:
-        return self._padded(offers).max(axis=-1)
+        gamma = np.zeros(offers.shape[:-1] + (self.n,))
+        gamma[..., self._heads] = self._best_in(offers)[1]
+        return gamma
 
     def best_excluding_reverse(self, offers: np.ndarray) -> np.ndarray:
-        """For each directed edge i->j: best offer into i not coming from j."""
-        table = self._padded(offers)  # (..., n, width)
-        arg = table.argmax(axis=-1)
-        best = np.take_along_axis(table, arg[..., None], axis=-1)[..., 0]
-        table2 = np.array(table, copy=True)
-        np.put_along_axis(table2, arg[..., None], -np.inf, axis=-1)
-        second = table2.max(axis=-1)
-        argedge = self.incoming[np.arange(self.n), arg]  # (..., n) directed ids
-        excluded = argedge[..., self.src] == self.rev
-        return np.where(excluded, second[..., self.src], best[..., self.src])
+        """For each directed edge i->j: best offer into i not coming from j.
+
+        Only when j->i is the sole top offer into i does the answer drop
+        to the best offer below the top; with ties the top stays.
+        """
+        clipped, best = self._best_in(offers)
+        top = clipped == best[..., self._seg]
+        ties = np.add.reduceat(top, self._starts, axis=-1, dtype=np.intp) > 1
+        below = np.maximum.reduceat(np.where(top, 0.0, clipped), self._starts, axis=-1)
+        second = np.where(ties, best, below)
+        return np.where(top[..., self._rev_pos], second[..., self._src_seg], best[..., self._src_seg])
 
     def step_alpha(self, alpha: np.ndarray, kappa: float) -> np.ndarray:
         m = self.offers(alpha)
@@ -138,10 +154,6 @@ class MessageState:
 
     def offer_map(self) -> dict[tuple[int, int], float]:
         return self.index.alpha_to_map(self.offers)
-
-    def is_valid(self, slack: float = 1e-12) -> bool:
-        W = self.index.W
-        return bool(np.all(self.alpha >= -slack) and np.all(self.alpha <= W + slack))
 
     def step_residual(self) -> float:
         """Sup-norm mismatch between alpha and its undamped update target.
@@ -175,7 +187,6 @@ class DynamicsConfig:
     init: str = "zeros"  # zeros | uniform_random | explicit | top | bot
     seed: int | None = None
     alpha0: np.ndarray | None = None
-    snapshot_every: int | None = None
 
     def __post_init__(self):
         if not (0.0 < self.kappa < 1.0):
@@ -194,7 +205,6 @@ class Trace:
     step_change: list[float] = field(default_factory=list)
     u_g: list[float | None] = field(default_factory=list)
     u_gf: list[float | None] = field(default_factory=list)
-    snapshots: list[tuple[int, np.ndarray]] = field(default_factory=list)
 
     def record(self, t, change, ug=None, ugf=None):
         self.steps.append(t)
@@ -270,8 +280,6 @@ def run(
         ug = float(np.abs(nxt - ref_alpha).max()) if ref_alpha is not None else None
         ugf = float(np.abs(nxt[ref_ids] - ref_alpha[ref_ids]).max()) if ref_ids is not None else None
         trace.record(t, change, ug, ugf)
-        if cfg.snapshot_every and t % cfg.snapshot_every == 0:
-            trace.snapshots.append((t, nxt.copy()))
         alpha = nxt
         if change <= threshold:
             converged = True
@@ -312,7 +320,7 @@ def extract_pairing(
     ambiguous: set[int] = set()
     unpaired: set[int] = set()
     for i in range(idx.n):
-        ids = [d for d in idx.incoming[i] if d < 2 * idx.m]
+        ids = idx.incoming_ids(i)
         vals = [state.offers[d] for d in ids]
         if not vals or max(vals) <= margin:
             unpaired.add(i)

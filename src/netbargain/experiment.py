@@ -236,7 +236,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
                     "converged": iters is not None,
                 }
             )
-    good = [(r["n"], r["iterations_to_eps"]) for r in result.rows if r["converged"] and r["iterations_to_eps"]]
+    good = [(r["n"], r["iterations_to_eps"]) for r in result.rows if r["converged"]]
     if len({n for n, _ in good}) >= 2:
         xs = np.log([n for n, _ in good])
         ys = np.log([max(t, 1) for _, t in good])

@@ -96,6 +96,13 @@ def max_weight(inst: Instance) -> float:
 # with "w" either a JSON number or a decimal string (parsed once as a double).
 
 
+def _node_id(x) -> int:
+    # int() would truncate 0.9 to 0 and read true as 1
+    if isinstance(x, bool) or (isinstance(x, float) and not x.is_integer()):
+        raise ValueError(f"node id {x!r} is not an integer")
+    return int(x)
+
+
 def loads(text: str) -> Instance:
     try:
         doc = json.loads(text)
@@ -104,12 +111,14 @@ def loads(text: str) -> Instance:
     if not isinstance(doc, dict) or "nodes" not in doc or "edges" not in doc:
         raise InstanceError("document must have 'nodes' and 'edges' fields")
     n = doc["nodes"]
-    if not isinstance(n, int):
+    if not isinstance(n, int) or isinstance(n, bool):
         raise InstanceError("'nodes' must be an integer")
+    if not isinstance(doc["edges"], list):
+        raise InstanceError("'edges' must be a list")
     edges = []
     for rec in doc["edges"]:
         try:
-            u, v, w = int(rec["u"]), int(rec["v"]), float(rec["w"])
+            u, v, w = _node_id(rec["u"]), _node_id(rec["v"]), float(rec["w"])
         except (KeyError, TypeError, ValueError) as e:
             raise InstanceError(f"bad edge record {rec!r}: {e}") from None
         edges.append((u, v, w))

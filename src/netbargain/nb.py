@@ -284,15 +284,7 @@ def fp_from_nb(sol: NBSolution, inst_or_index, tol: float = FP_TOL) -> MessageSt
         raise ValueError("solution must be certified stable and balanced")
     idx = inst_or_index if isinstance(inst_or_index, EdgeIndex) else EdgeIndex(inst_or_index)
     g = np.asarray(sol.gamma)
-    offers = np.maximum(idx.w - g[idx.src], 0.0)
-    alpha = np.zeros(2 * idx.m)
-    for d in range(2 * idx.m):
-        i, j = int(idx.src[d]), int(idx.dst[d])
-        best = 0.0
-        for e in idx.incoming[i]:
-            if e < 2 * idx.m and int(idx.src[e]) != j:
-                best = max(best, offers[e])
-        alpha[d] = best
+    alpha = idx.best_excluding_reverse(np.maximum(idx.w - g[idx.src], 0.0))
     state = derive(alpha, idx)
     if state.step_residual() > tol:
         raise ValueError("constructed state failed the fixed-point residual check")

@@ -151,8 +151,8 @@ def decompose(
     for i in matched:
         offers = [
             (float(fp.offers[d]), int(idx.src[d]))
-            for d in idx.incoming[i]
-            if d < 2 * idx.m and int(idx.src[d]) != partner[i]
+            for d in idx.incoming_ids(i)
+            if int(idx.src[d]) != partner[i]
         ]
         psi = max((o for o, _ in offers), default=0.0)
         psi = max(psi, 0.0)

@@ -80,6 +80,22 @@ def test_verify_bad_instance(tmp_path):
     assert main(["verify", "--input", str(path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        '{"nodes": 2, "edges": [{"u": 0.9, "v": 1.7, "w": 1}]}',
+        '{"nodes": true, "edges": []}',
+        '{"nodes": 2, "edges": [{"u": false, "v": true, "w": 1}]}',
+        '{"nodes": 2, "edges": 5}',
+    ],
+)
+def test_verify_rejects_mistyped_document(tmp_path, capsys, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(doc)
+    assert main(["verify", "--input", str(path)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_verify_missing_file():
     assert main(["verify", "--input", "/nonexistent/x.json"]) == 2
 
@@ -101,6 +117,15 @@ def test_experiment_csv(tmp_path, capsys):
     assert lines[0] == "n,W,sigma,eps,iterations_to_eps,t_star_reference,seed,converged"
     assert len(lines) == 3
     assert "log-log fit" in capsys.readouterr().out
+
+
+def test_experiment_fit_keeps_rows_converged_in_zero_steps(capsys):
+    # bicycle size 3 earns within eps of its reference from the zero start: 0 steps
+    assert main(["experiment", "--topology", "bicycle", "--sizes", "3,7"]) == 0
+    out = capsys.readouterr().out
+    first = out.splitlines()[1].split(",")
+    assert (first[4], first[-1]) == ("0", "True")
+    assert "slope=" in out and "not enough converged rows" not in out
 
 
 def test_bipartite_report(tmp_path, b1, capsys):

@@ -242,20 +242,27 @@ def test_run_extremal_inits(e2):
         assert np.allclose(state.gamma, [0.5, 1.5, 0.0], atol=1e-6)
 
 
-def _naive_step(inst, amap, kappa):
-    # dict-based reference: offers from both claims, then damped relaxation
-    # toward the best offer from the other neighbors
+def _naive_kernels(inst, amap):
+    # scalar reference for the segmented kernels: offers from compute_offer,
+    # then best incoming offer per node and per directed edge excluding the
+    # reverse, both floored at 0 ("max over nothing is 0")
     wmap = {}
     for (u, v, w) in inst.edges:
         wmap[(u, v)] = wmap[(v, u)] = w
     offers = {
         (i, j): compute_offer(wmap[(i, j)], amap[(i, j)], amap[(j, i)]) for (i, j) in amap
     }
-    out = {}
-    for (i, j), a in amap.items():
-        best = max((offers[(k, i)] for k in inst.neighbors(i) if k != j), default=0.0)
-        out[(i, j)] = kappa * best + (1 - kappa) * a
-    return out
+    gamma = [max([0.0] + [offers[(k, i)] for k in inst.neighbors(i)]) for i in range(inst.n)]
+    best = {
+        (i, j): max([0.0] + [offers[(k, i)] for k in inst.neighbors(i) if k != j]) for (i, j) in amap
+    }
+    return offers, gamma, best
+
+
+def _naive_step(inst, amap, kappa):
+    # damped relaxation toward the best offer from the other neighbors
+    _, _, best = _naive_kernels(inst, amap)
+    return {(i, j): kappa * best[(i, j)] + (1 - kappa) * a for (i, j), a in amap.items()}
 
 
 @pytest.mark.parametrize("kappa", [0.25, 0.5, 0.8])
@@ -272,3 +279,55 @@ def test_vectorized_step_matches_naive_reference(kappa):
             want = _naive_step(inst, amap, kappa)
             for k in amap:
                 assert got[k] == pytest.approx(want[k], abs=1e-12)
+
+
+def _kernel_instances():
+    rng = np.random.default_rng(7)
+    yield Instance(2, ((0, 1, 1.0),))
+    yield Instance(5, ((1, 3, 2.0),))  # isolated nodes around one edge
+    yield Instance(9, tuple((0, i, 1.0) for i in range(1, 9)))  # star, equal weights
+    leaves = tuple((0, i, float(rng.uniform(1, 2))) for i in range(1, 30))
+    yield Instance(33, leaves + ((1, 2, 1.5), (2, 3, 1.0), (5, 30, 2.0), (30, 31, 1.0)))  # hub, node 32 isolated
+    for seed in range(6):
+        yield generate(GeneratorSpec("erdos_renyi", (5 + seed,), base=(1.0, 2.0), jitter=0.0, seed=seed))
+
+
+@pytest.mark.parametrize("batch", [(), (3,), (2, 3), (2, 1, 2)])
+def test_segmented_kernels_match_scalar_reference(batch):
+    rng = np.random.default_rng(len(batch))
+    all_negative_seen = False
+    for inst in _kernel_instances():
+        idx = EdgeIndex(inst)
+        pairs = idx.directed_pairs()
+        hub = int(np.argmax([inst.degree(i) for i in range(inst.n)]))
+        draws = [
+            rng.choice([0.0, 0.5, 1.0], size=batch + (2 * idx.m,)),  # many tied offers
+            rng.uniform(-1.0, 2.5, size=batch + (2 * idx.m,)),
+            # messages out of the hub far below zero make every offer into it negative
+            np.where(idx.src == hub, -10.0, rng.choice([0.0, 1.0], size=batch + (2 * idx.m,))),
+        ]
+        for alpha in draws:
+            offers = idx.offers(alpha)
+            gamma = idx.earnings(offers)
+            best = idx.best_excluding_reverse(offers)
+            assert gamma.shape == batch + (idx.n,) and best.shape == alpha.shape
+            for b in np.ndindex(*batch):
+                amap = idx.alpha_to_map(alpha[b])
+                ref_offers, ref_gamma, ref_best = _naive_kernels(inst, amap)
+                assert offers[b].tolist() == [ref_offers[p] for p in pairs]
+                assert gamma[b].tolist() == ref_gamma
+                assert best[b].tolist() == [ref_best[p] for p in pairs]
+                all_negative_seen |= bool(np.all(offers[b][idx.incoming_ids(hub)] < 0))
+    assert all_negative_seen
+
+
+def test_edge_index_memory_is_linear_on_a_star():
+    k = 20_000
+    inst = Instance(k + 1, tuple((0, i, 1.0 + i * 1e-6) for i in range(1, k + 1)))
+    idx = EdgeIndex(inst)
+    entries = sum(v.size for v in vars(idx).values() if isinstance(v, np.ndarray))
+    assert entries <= 8 * (idx.n + 2 * idx.m)
+    nxt = idx.step_alpha(np.zeros(2 * idx.m), 0.5)
+    # a leaf's only neighbour is the hub, so its message relaxes toward 0
+    assert nxt.shape == (2 * k,) and np.all(nxt[idx.src != 0] == 0.0)
+    assert np.all(nxt[idx.src == 0] > 0.0)

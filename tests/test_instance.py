@@ -40,6 +40,11 @@ def test_load_e2_document():
         ),
         ("{not json", "parse error"),
         ('{"edges": []}', "nodes"),
+        ('{"nodes": 2, "edges": [{"u": 0.9, "v": 1.7, "w": 1}]}', "not an integer"),
+        ('{"nodes": 2, "edges": [{"u": Infinity, "v": 1, "w": 1}]}', "not an integer"),
+        ('{"nodes": 2, "edges": [{"u": 0, "v": true, "w": 1}]}', "not an integer"),
+        ('{"nodes": true, "edges": []}', "'nodes' must be an integer"),
+        ('{"nodes": 2, "edges": 5}', "'edges' must be a list"),
     ],
 )
 def test_load_rejects(doc, msg):
