@@ -142,10 +142,7 @@ def run_extremal(
             break
     state = derive(alpha, idx, time=t)
     # strong-dotted edges carry the pairing of the extremal outcome
-    strong = frozenset(
-        (min(u, v), max(u, v))
-        for (u, v, w) in inst.edges
-        if w - alpha[idx.pos[(u, v)]] - alpha[idx.pos[(v, u)]] > 1e-6
-    )
+    slack = idx.w[0::2] - alpha[0::2] - alpha[1::2]  # per undirected edge
+    strong = frozenset(e for e, s in zip(inst.weights, slack) if s > 1e-6)
     sol = certify(NBSolution(strong, tuple(float(x) for x in state.gamma)), inst)
     return sol, state, t, converged

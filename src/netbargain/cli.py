@@ -21,7 +21,7 @@ from .experiment import ExperimentSpec, reference_solution, run_experiment
 from .instance import GeneratorSpec, Instance, InstanceError
 from .slack import DecompositionError, check_fp_identities, decompose
 from .matching import SizeCapError, classification_report, classify, dual_check
-from .nb import fp_property_suite, nb_from_fp, nb_oracle
+from .nb import FP_TOL, fp_property_suite, nb_from_fp
 
 PASS, FAIL, USAGE = 0, 1, 2
 
@@ -116,13 +116,17 @@ def cmd_verify(args) -> int:
         rep = dual_check(state.gamma, inst, tol=1e-6)
         lines.append(f"dual feasibility: {'pass' if rep.feasible else 'FAIL ' + str(rep.violations)}")
         ok = ok and rep.feasible
+    elif not converged:
+        lines.append("fixed-point audit skipped: the dynamics did not converge")
     else:
-        report = fp_property_suite(state, inst, cls)
+        # run stops once the residual is at most --eps, so audit to that bound
+        report = fp_property_suite(state, inst, cls, residual_tol=max(FP_TOL, args.eps))
         lines.append(classification_report(cls, inst))
         lines.append(report.summary())
         ok = ok and report.passed
         if cls.kind == "pointed_not_tight":
-            lines.append("pointed, not tight: no NB solution exists; dual optimum certified")
+            if ok:
+                lines.append("pointed, not tight: no NB solution exists; dual optimum certified")
         elif ok:
             sol = nb_from_fp(state, inst, report)
             lines.append(f"outcome: matching={sorted(sol.matching)} certified={sol.certified}")

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .instance import Instance, max_weight
+from .instance import Instance, canon, max_weight
 
 __all__ = [
     "EdgeIndex",
@@ -41,10 +41,12 @@ class EdgeIndex:
     """Static directed-edge indexing for one instance.
 
     Undirected edge k = (u,v,w) owns directed slots 2k (u->v) and 2k+1
-    (v->u). Incoming edges are stored in CSR form sorted by head:
-    `in_ids[in_ptr[i]:in_ptr[i+1]]` lists the directed ids pointing into
-    i in increasing order. Every array holds O(n + m) entries, so the
-    kernels cost O(n + m) per step whatever the degree distribution.
+    (v->u), so per-edge quantities are slices: `a[0::2] + a[1::2]` sums
+    the two messages on every edge in edge order. Incoming edges are
+    stored in CSR form sorted by head: `in_ids[in_ptr[i]:in_ptr[i+1]]`
+    lists the directed ids pointing into i in increasing order. Every
+    attribute is an array of O(n + m) entries or a scalar, so the kernels
+    cost O(n + m) per step whatever the degree distribution.
     """
 
     def __init__(self, inst: Instance):
@@ -70,26 +72,33 @@ class EdgeIndex:
         csr_pos = np.empty(2 * m, dtype=np.int64)
         csr_pos[self.in_ids] = np.arange(2 * m)
         self._rev_pos = csr_pos[self.rev]  # CSR slot of each edge's reverse
-        self.pos = dict(zip(zip(self.src.tolist(), self.dst.tolist()), range(2 * m)))
         self.W = max_weight(inst)
 
     def incoming_ids(self, i: int) -> np.ndarray:
         """Directed ids of the edges pointing into node i, in increasing order."""
         return self.in_ids[self.in_ptr[i] : self.in_ptr[i + 1]]
 
+    def slot(self, i: int, j: int) -> int:
+        """Directed id of the edge i->j; KeyError when i and j are not adjacent."""
+        ids = self.incoming_ids(j) if 0 <= j < self.n else self.in_ids[:0]
+        hit = ids[self.src[ids] == i]
+        if hit.size == 0:
+            raise KeyError(f"no edge ({i},{j})")
+        return int(hit[0])
+
     def directed_pairs(self) -> list[tuple[int, int]]:
-        return [(int(self.src[d]), int(self.dst[d])) for d in range(2 * self.m)]
+        return list(zip(self.src.tolist(), self.dst.tolist()))
 
     def alpha_from_map(self, amap: dict[tuple[int, int], float]) -> np.ndarray:
         a = np.empty(2 * self.m)
-        for (i, j), d in self.pos.items():
-            if (i, j) not in amap:
-                raise KeyError(f"missing directed edge entry {(i, j)}")
-            a[d] = amap[(i, j)]
+        for d, p in enumerate(self.directed_pairs()):
+            if p not in amap:
+                raise KeyError(f"missing directed edge entry {p}")
+            a[d] = amap[p]
         return a
 
     def alpha_to_map(self, alpha: np.ndarray) -> dict[tuple[int, int], float]:
-        return {(int(self.src[d]), int(self.dst[d])): float(alpha[d]) for d in range(2 * self.m)}
+        return dict(zip(self.directed_pairs(), np.asarray(alpha, dtype=np.float64).tolist()))
 
     # -- vectorized kernels (alpha may have leading batch axes) --
 
@@ -269,7 +278,7 @@ def run(
     ref_ids = None
     if ref_alpha is not None and ref_edges is not None:
         ref_ids = np.array(
-            sorted(idx.pos[p] for (i, j) in ref_edges for p in ((i, j), (j, i))), dtype=np.int64
+            sorted(idx.slot(*p) for (i, j) in ref_edges for p in ((i, j), (j, i))), dtype=np.int64
         )
     converged = False
     t = 0
@@ -332,9 +341,5 @@ def extract_pairing(
             choice[i] = int(idx.src[ids[best]])
         else:
             ambiguous.add(i)
-    pairs = {
-        (min(i, j), max(i, j))
-        for i, j in choice.items()
-        if choice.get(j) == i
-    }
+    pairs = {canon(i, j) for i, j in choice.items() if choice.get(j) == i}
     return pairs, ambiguous, unpaired

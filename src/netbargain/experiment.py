@@ -18,7 +18,7 @@ import networkx as nx
 import numpy as np
 
 from .dynamics import EdgeIndex
-from .instance import GeneratorSpec, Instance, generate, max_weight
+from .instance import GeneratorSpec, Instance, canon, generate, max_weight
 from .slack import SlackDecomposition, decompose
 from .matching import SizeCapError, classify
 from .nb import NBSolution, certify, fp_from_nb, solve_balance
@@ -47,7 +47,7 @@ def _maximum_matching(inst: Instance) -> frozenset[tuple[int, int]]:
     for (u, v, w) in inst.edges:
         g.add_edge(u, v, weight=w)
     pairs = nx.max_weight_matching(g, maxcardinality=False)
-    return frozenset((min(u, v), max(u, v)) for (u, v) in pairs)
+    return frozenset(canon(u, v) for (u, v) in pairs)
 
 
 def reference_solution(inst: Instance, enum_cap: int = 12, tol: float = 1e-9) -> Reference | None:

@@ -8,12 +8,15 @@ player trading with at most one neighbor.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
 __all__ = [
     "Instance",
+    "canon",
     "GeneratorSpec",
     "InstanceError",
     "load",
@@ -29,6 +32,11 @@ class InstanceError(ValueError):
     """Raised for malformed instance documents or invalid generator parameters."""
 
 
+def canon(u: int, v: int) -> tuple[int, int]:
+    """Key of the undirected edge {u, v}: lower endpoint first."""
+    return (u, v) if u < v else (v, u)
+
+
 @dataclass(frozen=True)
 class Instance:
     """Immutable weighted graph. Node ids are 0..n-1; weights are > 0."""
@@ -36,45 +44,54 @@ class Instance:
     n: int
     edges: tuple[tuple[int, int, float], ...]
     _adj: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    _weights: dict[tuple[int, int], float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n <= 0:
             raise InstanceError("instance needs at least one node")
-        seen = set()
-        adj: dict[int, list[int]] = {i: [] for i in range(self.n)}
+        weights: dict[tuple[int, int], float] = {}
+        adj: dict[int, list[int]] = {}  # isolated nodes get no entry
         for (u, v, w) in self.edges:
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise InstanceError(f"dangling node id on edge ({u},{v})")
             if u == v:
                 raise InstanceError(f"self-loop at node {u}")
-            key = (min(u, v), max(u, v))
-            if key in seen:
+            key = canon(u, v)
+            if key in weights:
                 raise InstanceError(f"duplicate edge ({u},{v})")
-            seen.add(key)
             if not (w > 0.0) or not np.isfinite(w):
                 raise InstanceError(f"non-positive weight on edge ({u},{v}): {w}")
-            adj[u].append(v)
-            adj[v].append(u)
+            if w < sys.float_info.min:
+                raise InstanceError(f"subnormal weight on edge ({u},{v}): {w}")
+            weights[key] = w
+            adj.setdefault(u, []).append(v)
+            adj.setdefault(v, []).append(u)
         object.__setattr__(self, "_adj", {i: tuple(ns) for i, ns in adj.items()})
+        object.__setattr__(self, "_weights", weights)
 
     @property
     def m(self) -> int:
         return len(self.edges)
 
+    @property
+    def weights(self) -> MappingProxyType:
+        """Read-only {canon(u, v): w}, in edge order."""
+        return MappingProxyType(self._weights)
+
     def neighbors(self, i: int) -> tuple[int, ...]:
-        return self._adj[i]
+        return self._adj.get(i, ())
 
     def degree(self, i: int) -> int:
-        return len(self._adj[i])
+        return len(self.neighbors(i))
 
     def weight(self, i: int, j: int) -> float:
-        for (u, v, w) in self.edges:
-            if {u, v} == {i, j}:
-                return w
-        raise KeyError(f"no edge ({i},{j})")
+        try:
+            return self._weights[canon(i, j)]
+        except KeyError:
+            raise KeyError(f"no edge ({i},{j})") from None
 
     def edge_set(self) -> set[tuple[int, int]]:
-        return {(min(u, v), max(u, v)) for (u, v, _) in self.edges}
+        return set(self._weights)
 
     def relabeled(self, perm: list[int]) -> "Instance":
         """Instance with node i renamed perm[i]. Used for symmetry tests."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .instance import Instance, max_weight
+from .instance import Instance, canon, max_weight
 
 __all__ = [
     "HalfIntegralSolution",
@@ -35,10 +35,6 @@ class SizeCapError(ValueError):
     """Instance too large for exhaustive corner enumeration."""
 
 
-def _canon(u: int, v: int) -> Edge:
-    return (u, v) if u < v else (v, u)
-
-
 @dataclass(frozen=True)
 class HalfIntegralSolution:
     """One corner of the relaxation: 1-edges form a matching, 1/2-edges odd cycles."""
@@ -47,20 +43,13 @@ class HalfIntegralSolution:
     halves: frozenset[Edge]
     weight: float
 
-    @property
-    def support(self) -> frozenset[Edge]:
-        return self.ones | self.halves
-
     def value(self, u: int, v: int) -> float:
-        e = _canon(u, v)
+        e = canon(u, v)
         if e in self.ones:
             return 1.0
         if e in self.halves:
             return 0.5
         return 0.0
-
-    def values(self, inst: Instance) -> dict[Edge, float]:
-        return {_canon(u, v): self.value(u, v) for (u, v, _) in inst.edges}
 
     @property
     def integral(self) -> bool:
@@ -118,7 +107,7 @@ def odd_cycles(inst: Instance) -> list[list[int]]:
 
 def _cycle_edges(cycle: list[int]) -> frozenset[Edge]:
     k = len(cycle)
-    return frozenset(_canon(cycle[i], cycle[(i + 1) % k]) for i in range(k))
+    return frozenset(canon(cycle[i], cycle[(i + 1) % k]) for i in range(k))
 
 
 def _matchings_avoiding(edges: list[tuple[int, int, float]], banned: frozenset[int]):
@@ -132,7 +121,7 @@ def _matchings_avoiding(edges: list[tuple[int, int, float]], banned: frozenset[i
         yield from rec(i + 1, used, picked, weight)
         if u not in used and v not in used:
             used |= {u, v}
-            picked.append(_canon(u, v))
+            picked.append(canon(u, v))
             yield from rec(i + 1, used, picked, weight + w)
             picked.pop()
             used -= {u, v}
@@ -144,7 +133,7 @@ def enumerate_corners(inst: Instance, cap: int = DEFAULT_CAP) -> list[HalfIntegr
     """Every half-integral corner: a matching plus vertex-disjoint odd cycles at 1/2."""
     if inst.n > cap:
         raise SizeCapError(f"n={inst.n} exceeds enumeration cap {cap}")
-    wmap = {_canon(u, v): w for (u, v, w) in inst.edges}
+    wmap = inst.weights
     cycles = odd_cycles(inst)
     cyc_nodes = [frozenset(c) for c in cycles]
     cyc_edges = [_cycle_edges(c) for c in cycles]
@@ -201,7 +190,7 @@ def dual_check(
     for (u, v, w) in inst.edges:
         slack = g[u] + g[v] - w
         if slack < -tol:
-            violations.append(("edge", _canon(u, v), float(slack)))
+            violations.append(("edge", canon(u, v), float(slack)))
     objective = float(sum(g))
     if primal_optimum is None and inst.n <= cap:
         primal_optimum = classify(inst, cap=cap, tol=tol).optimum.weight
@@ -229,8 +218,7 @@ def solid_labels(classification: LPClassification, inst: Instance) -> dict[Edge,
         raise ValueError("degenerate problem has no unique optimum to label")
     opt = classification.optimum
     labels = {}
-    for (u, v, _) in inst.edges:
-        e = _canon(u, v)
+    for e in inst.weights:
         if e in opt.ones:
             labels[e] = "one_solid"
         elif e in opt.halves:

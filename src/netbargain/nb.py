@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dynamics import EdgeIndex, MessageState, derive
-from .instance import Instance
+from .instance import Instance, canon
 from .matching import LPClassification, solid_labels
 
 __all__ = [
@@ -42,10 +42,6 @@ FP_TOL = 1e-9  # exactly constructed fixed points
 Edge = tuple[int, int]
 
 
-def _canon(u: int, v: int) -> Edge:
-    return (u, v) if u < v else (v, u)
-
-
 @dataclass(frozen=True)
 class NBSolution:
     matching: frozenset[Edge]
@@ -67,18 +63,13 @@ class NBSolution:
         return {i for e in self.matching for i in e}
 
 
-def _weight_map(inst: Instance) -> dict[Edge, float]:
-    return {_canon(u, v): w for (u, v, w) in inst.edges}
-
-
-def _best_alternative(inst: Instance, gamma, i: int, excluding: int | None, wmap=None) -> float:
+def _best_alternative(inst: Instance, weights, gamma, i: int, excluding: int | None) -> float:
+    # weights is inst.weights, fetched once by the caller's loop
     best = 0.0
-    if wmap is None:
-        wmap = _weight_map(inst)
     for k in inst.neighbors(i):
         if k == excluding:
             continue
-        best = max(best, wmap[_canon(i, k)] - gamma[k])
+        best = max(best, weights[canon(i, k)] - gamma[k])
     return max(best, 0.0)
 
 
@@ -86,7 +77,7 @@ def check_stability(sol: NBSolution, inst: Instance, tol: float = CERT_TOL) -> l
     """Off-matching edges where the pair could jointly earn more."""
     violations = []
     for (u, v, w) in inst.edges:
-        e = _canon(u, v)
+        e = canon(u, v)
         if e in sol.matching:
             continue
         deficit = sol.gamma[u] + sol.gamma[v] - w
@@ -102,10 +93,10 @@ def check_balance(sol: NBSolution, inst: Instance, tol: float = CERT_TOL) -> lis
     residuals are within tol with both surpluses non-negative.
     """
     out = []
-    wmap = _weight_map(inst)
+    weights = inst.weights
     for (u, v) in sorted(sol.matching):
-        lhs = sol.gamma[u] - _best_alternative(inst, sol.gamma, u, v, wmap)
-        rhs = sol.gamma[v] - _best_alternative(inst, sol.gamma, v, u, wmap)
+        lhs = sol.gamma[u] - _best_alternative(inst, weights, sol.gamma, u, v)
+        rhs = sol.gamma[v] - _best_alternative(inst, weights, sol.gamma, v, u)
         out.append(((u, v), float(abs(lhs - rhs)), float(lhs), float(rhs)))
     return out
 
@@ -115,9 +106,8 @@ def certify(sol: NBSolution, inst: Instance, tol: float = CERT_TOL) -> NBSolutio
     g = sol.gamma
     ok = all(gi >= -tol for gi in g)
     matched = sol.matched_nodes()
-    wmap = {_canon(u, v): w for (u, v, w) in inst.edges}
     for (u, v) in sol.matching:
-        if abs(g[u] + g[v] - wmap[_canon(u, v)]) > tol:
+        if abs(g[u] + g[v] - inst.weight(u, v)) > tol:
             ok = False
     for i in range(inst.n):
         if i not in matched and abs(g[i]) > tol:
@@ -148,7 +138,7 @@ def solve_balance(
     alternatives. The balance map is a sup-norm non-expansion, so damped
     iteration settles reliably; None signals non-convergence.
     """
-    wmap = {_canon(u, v): w for (u, v, w) in inst.edges}
+    weights = inst.weights
     gamma = np.zeros(inst.n) if gamma0 is None else np.asarray(gamma0, dtype=np.float64).copy()
     for i in range(inst.n):
         if not any(i in e for e in matching):
@@ -158,9 +148,9 @@ def solve_balance(
     for _ in range(max_sweeps):
         change = 0.0
         for (u, v) in pairs:
-            w = wmap[(u, v)]
-            au = _best_alternative(inst, gamma, u, v, wmap)
-            av = _best_alternative(inst, gamma, v, u, wmap)
+            w = weights[(u, v)]
+            au = _best_alternative(inst, weights, gamma, u, v)
+            av = _best_alternative(inst, weights, gamma, v, u)
             half = 0.5 * (w - au - av)
             tu, tv = au + half, av + half
             nu = (1 - damping) * gamma[u] + damping * tu
@@ -173,7 +163,7 @@ def solve_balance(
 
 
 def _maximal_matchings(inst: Instance) -> list[frozenset[Edge]]:
-    edges = [_canon(u, v) for (u, v, _) in inst.edges]
+    edges = list(inst.weights)
 
     out = []
 
@@ -352,11 +342,9 @@ def fp_property_suite(
     idx = state.index
     g = state.gamma
     alpha, offers = state.alpha, state.offers
-    wmap = {_canon(u, v): w for (u, v, w) in inst.edges}
-    slack = {}  # w - a_ij - a_ji per undirected edge
-    for (u, v, w) in inst.edges:
-        e = _canon(u, v)
-        slack[e] = w - alpha[idx.pos[(u, v)]] - alpha[idx.pos[(v, u)]]
+    wmap = inst.weights
+    # w - a_ij - a_ji per undirected edge; edge k owns slots 2k and 2k+1
+    slack = dict(zip(wmap, idx.w[0::2] - alpha[0::2] - alpha[1::2]))
     labels = {
         e: ("strong_dotted" if s > tol else "weak_dotted" if s >= -tol else "non_dotted")
         for e, s in slack.items()
@@ -374,14 +362,13 @@ def fp_property_suite(
 
     # partners <=> non-negative message slack <=> earnings met by the pair's offers
     wit = []
-    for e, w in wmap.items():
+    for k, (u, v, w) in enumerate(inst.edges):
+        e = canon(u, v)
         i, j = e
         a = abs(g[i] + g[j] - w) <= tol
         b = slack[e] >= -tol
-        c = (
-            abs(g[i] - offers[idx.pos[(j, i)]]) <= tol
-            and abs(g[j] - offers[idx.pos[(i, j)]]) <= tol
-        )
+        # offers into u arrive on slot 2k+1 (v->u), into v on slot 2k
+        c = abs(g[u] - offers[2 * k + 1]) <= tol and abs(g[v] - offers[2 * k]) <= tol
         if not (a == b == c):
             wit.append((e, a, b, c))
     add("partner_equivalence", wit)
@@ -398,7 +385,7 @@ def fp_property_suite(
 
     wit = []
     for i in range(inst.n):
-        dotted = [k for k in inst.neighbors(i) if labels[_canon(i, k)] != "non_dotted"]
+        dotted = [k for k in inst.neighbors(i) if labels[canon(i, k)] != "non_dotted"]
         if not dotted and g[i] > tol:
             wit.append((i, float(g[i])))
     add("no_dotted_zero_gamma", wit)
@@ -414,8 +401,8 @@ def fp_property_suite(
     wit = []
     for e in wmap:
         i, j = e
-        lhs = g[i] - _best_alternative(inst, g, i, j, wmap)
-        rhs = g[j] - _best_alternative(inst, g, j, i, wmap)
+        lhs = g[i] - _best_alternative(inst, wmap, g, i, j)
+        rhs = g[j] - _best_alternative(inst, wmap, g, j, i)
         if abs(lhs - rhs) > tol or lhs < -tol or rhs < -tol:
             wit.append((e, float(lhs), float(rhs)))
     add("balance_everywhere", wit)

@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dynamics import EdgeIndex, MessageState
+from .instance import canon
 from .slack import SlackDecomposition
 
 __all__ = [
@@ -71,22 +72,13 @@ class PathSpec:
         return np.where(m, 0.5 * (w - alpha + alpha[..., rev]), w - alpha)
 
 
-def _const(b) -> bool:
-    return not callable(b)
-
-
 @dataclass(frozen=True)
 class SimplifiedPathState:
     path: PathSpec
     alpha: np.ndarray
-    b_left: object  # float or callable t -> float
-    b_right: object
+    b_left: float
+    b_right: float
     time: int = 0
-
-    def boundary(self, t: int) -> tuple[float, float]:
-        bl = self.b_left if _const(self.b_left) else self.b_left(t)
-        br = self.b_right if _const(self.b_right) else self.b_right(t)
-        return float(bl), float(br)
 
 
 def simplified_step(state: SimplifiedPathState) -> SimplifiedPathState:
@@ -95,9 +87,8 @@ def simplified_step(state: SimplifiedPathState) -> SimplifiedPathState:
     a = state.alpha
     m = p.offers(a)
     drive = np.empty_like(a)
-    bl, br = state.boundary(state.time)
-    drive[..., 0] = bl
-    drive[..., 2 * ell - 1] = br
+    drive[..., 0] = state.b_left
+    drive[..., 2 * ell - 1] = state.b_right
     if ell > 1:
         # alpha[i -> i+1] relaxes toward the offer from i-1, i.e. slot 2(i-1)
         drive[..., 2:-1:2] = m[..., 0:-3:2]
@@ -146,13 +137,7 @@ def run_simplified(
     horizon: int,
     tol: float = 1e-12,
 ) -> tuple[SimplifiedPathState, list[float], bool]:
-    """Iterate to the fixed point; trace holds the sup error per step.
-
-    Requires constant boundaries (the fixed point is solved exactly and
-    the decay trace is measured against it).
-    """
-    if not (_const(state.b_left) and _const(state.b_right)):
-        raise ValueError("decay tracing needs constant boundaries")
+    """Iterate to the fixed point; trace holds the sup error per step."""
     star = simplified_fixed_point(state.path, float(state.b_left), float(state.b_right))
     trace = []
     cur = state
@@ -268,33 +253,36 @@ def path_order_geq(a: np.ndarray, b: np.ndarray, tol: float = 0.0) -> bool:
 def structure_path(decomp: SlackDecomposition, q: int, index: EdgeIndex):
     """Order a path structure's nodes, weights, matching, and directed slots.
 
-    Returns (node sequence, PathSpec ingredients, directed ids) with the
-    lower-numbered endpoint first.
+    The sequence is the chain of the structure's own nodes with at most one
+    anchor edge added at each end (the lowest anchor where offers tie). It
+    runs from the lower-numbered end; both ends may be the same anchor.
+    Returns (node sequence, PathSpec ingredients, directed ids).
     """
     s = decomp.structures[q]
     if s.topology != "path":
         raise ValueError(f"structure {q} is a {s.topology}, not a path")
-    adj: dict[int, list[int]] = {}
+    chain: dict[int, list[int]] = {i: [] for i in s.nodes}
+    anchors: dict[int, list[int]] = {i: [] for i in s.nodes}
     for (u, v) in s.edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    ends = sorted(i for i, ns in adj.items() if len(ns) == 1)
-    start = ends[0]
-    seq = [start]
-    prev = None
-    while True:
-        nxts = [x for x in adj[seq[-1]] if x != prev]
-        if not nxts:
-            break
-        prev = seq[-1]
-        seq.append(nxts[0])
-    wmap = {(min(u, v), max(u, v)): w for (u, v, w) in index.instance.edges}
-    weights = tuple(wmap[(min(a, b), max(a, b))] for a, b in zip(seq, seq[1:]))
-    matched = tuple((min(a, b), max(a, b)) in s.e1 for a, b in zip(seq, seq[1:]))
-    slots = []
-    for a, b in zip(seq, seq[1:]):
-        slots.append(index.pos[(a, b)])
-        slots.append(index.pos[(b, a)])
+        if u in chain and v in chain:
+            chain[u].append(v)
+            chain[v].append(u)
+        else:
+            inner, outer = (u, v) if u in chain else (v, u)
+            anchors[inner].append(outer)
+    # each chain end sorts by its outermost node: its anchor if any, else itself
+    ends = [(min(anchors[c], default=c), c) for c, ns in chain.items() if len(ns) == 1]
+    (first_out, first), (last_out, last) = sorted(ends)
+    seq = [first]
+    while len(seq) < len(chain):
+        seq.append(next(x for x in chain[seq[-1]] if len(seq) < 2 or x != seq[-2]))
+    if first_out != first:
+        seq.insert(0, first_out)
+    if last_out != last:
+        seq.append(last_out)
+    weights = tuple(index.instance.weight(a, b) for a, b in zip(seq, seq[1:]))
+    matched = tuple(canon(a, b) in s.e1 for a, b in zip(seq, seq[1:]))
+    slots = [index.slot(*p) for a, b in zip(seq, seq[1:]) for p in ((a, b), (b, a))]
     return seq, weights, matched, np.asarray(slots, dtype=np.int64)
 
 

@@ -17,7 +17,7 @@ import networkx as nx
 import numpy as np
 
 from .dynamics import MessageState
-from .instance import Instance
+from .instance import Instance, canon
 from .nb import NBSolution
 
 __all__ = [
@@ -33,10 +33,6 @@ __all__ = [
 Edge = tuple[int, int]
 
 TOL_CLUSTER = 1e-6
-
-
-def _canon(u: int, v: int) -> Edge:
-    return (u, v) if u < v else (v, u)
 
 
 class DecompositionError(ValueError):
@@ -72,12 +68,6 @@ class SlackDecomposition:
             for i in s.nodes:
                 out[i] = s.sigma
         return out
-
-    def structure_edges(self) -> frozenset[Edge]:
-        acc: frozenset[Edge] = frozenset()
-        for s in self.structures:
-            acc |= s.edges
-        return acc
 
     def summary(self) -> str:
         lines = [f"unmatched: {sorted(self.c0)}"]
@@ -183,8 +173,8 @@ def decompose(
         for (u, v) in sol.matching:
             if (u in mset) != (v in mset):
                 raise DecompositionError(f"matched pair ({u},{v}) straddles slack levels")
-        e1 = {_canon(u, v) for (u, v) in sol.matching if u in mset}
-        e2 = {_canon(i, k) for i in members for k in second_from[i]}
+        e1 = {canon(u, v) for (u, v) in sol.matching if u in mset}
+        e2 = {canon(i, k) for i in members for k in second_from[i]}
         # components connect only through level nodes; anchors stay pendant
         g = nx.Graph()
         g.add_nodes_from(members)
@@ -235,9 +225,8 @@ def compute_gap(decomp: SlackDecomposition, sol: NBSolution, inst: Instance) -> 
         raise DecompositionError("gap undefined: no structures")
     terms = [decomp.levels[0]]
     terms += [b - a for a, b in zip(decomp.levels, decomp.levels[1:])]
-    wmap = {_canon(u, v): w for (u, v, w) in inst.edges}
     for s in decomp.structures:
-        for e, w in wmap.items():
+        for e, w in inst.weights.items():
             if e in s.edges:
                 continue
             if e[0] in s.nodes and e[1] in s.nodes:
@@ -285,9 +274,9 @@ def check_fp_identities(
             in_structure[e] = ("matched", s.sigma)
         for e in s.e2:
             in_structure[e] = ("second_best", s.sigma)
-    for (u, v, w) in inst.edges:
-        e = _canon(u, v)
-        msg = float(fp.alpha[idx.pos[(u, v)]] + fp.alpha[idx.pos[(v, u)]] - w)
+    msgs = fp.alpha[0::2] + fp.alpha[1::2] - idx.w[0::2]  # per undirected edge
+    for (u, v, w), msg in zip(inst.edges, msgs.tolist()):
+        e = canon(u, v)
         earn = float(gamma[u] + gamma[v] - w)
         if e in in_structure:
             kind, sigma = in_structure[e]

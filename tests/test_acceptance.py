@@ -286,8 +286,8 @@ def test_criterion_10_exact_micro_instances(e2, e4, t1):
     assert abs(dec.gap - 0.5) <= 1e-9
     idx = fp.index
     s1 = dec.structures[0].sigma
-    matched_sum = fp.alpha[idx.pos[(0, 1)]] + fp.alpha[idx.pos[(1, 0)]] - 2.0
-    second_sum = fp.alpha[idx.pos[(1, 2)]] + fp.alpha[idx.pos[(2, 1)]] - 1.0
+    matched_sum = fp.alpha[idx.slot(0, 1)] + fp.alpha[idx.slot(1, 0)] - 2.0
+    second_sum = fp.alpha[idx.slot(1, 2)] + fp.alpha[idx.slot(2, 1)] - 1.0
     assert abs(matched_sum - (-2 * s1)) <= 1e-9
     assert abs(second_sum - s1) <= 1e-9
     assert check_fp_identities(dec, fp, e2, tol=1e-9).passed

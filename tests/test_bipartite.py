@@ -80,8 +80,8 @@ def test_extremal_init_values(e2, b1, single_edge):
     partb = check_bipartite(b1)
     idxb = EdgeIndex(b1)
     topb = extremal_init(b1, partb, "buyer", index=idxb)
-    for (i, j), d in idxb.pos.items():
-        assert topb[d] == (10.0 if i in partb.buyers else 0.0)
+    for (i, j) in idxb.directed_pairs():
+        assert topb[idxb.slot(i, j)] == (10.0 if i in partb.buyers else 0.0)
 
 
 def test_extremal_runs_b1(b1):

@@ -87,6 +87,7 @@ def test_verify_bad_instance(tmp_path):
         '{"nodes": true, "edges": []}',
         '{"nodes": 2, "edges": [{"u": false, "v": true, "w": 1}]}',
         '{"nodes": 2, "edges": 5}',
+        '{"nodes": 2, "edges": [{"u": 0, "v": 1, "w": 5e-324}]}',  # subnormal weight
     ],
 )
 def test_verify_rejects_mistyped_document(tmp_path, capsys, doc):
@@ -94,6 +95,35 @@ def test_verify_rejects_mistyped_document(tmp_path, capsys, doc):
     path.write_text(doc)
     assert main(["verify", "--input", str(path)]) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.fixture
+def blossom_file(tmp_path):
+    path = tmp_path / "blossom.json"
+    args = ["generate", "--topology", "blossom", "--stem", "2", "--cycle", "5", "--seed", "3"]
+    assert main(args + ["--output", str(path)]) == 0
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "flags,rc,lines",
+    [
+        # the audit's residual bound follows --eps; a coarser state fails named checks
+        (["--eps", "1e-7"], 0, ["dynamics: converged", "[pass] dual_optimal"]),
+        (["--eps", "1e-6"], 1, ["dynamics: converged", "[FAIL] unique_partner"]),
+        (["--eps", "1e-4"], 1, ["dynamics: converged", "[FAIL] balance_everywhere"]),
+        (["--max-iters", "5"], 1, ["NOT CONVERGED after 5 steps", "audit skipped"]),
+    ],
+)
+def test_verify_reports_numerical_failures(blossom_file, capsys, flags, rc, lines):
+    assert main(["verify", "--input", blossom_file] + flags) == rc
+    out, err = capsys.readouterr()
+    assert err == "" and all(line in out for line in lines)
+
+
+def test_verify_bad_kappa_is_a_usage_error(blossom_file, capsys):
+    assert main(["verify", "--input", blossom_file, "--kappa", "2"]) == 2
+    assert "kappa" in capsys.readouterr().err
 
 
 def test_verify_missing_file():
@@ -177,3 +207,16 @@ def test_pathlab_csv_exports(tmp_path, e2_file):
     assert decay.read_text().splitlines()[0] == "t,value"
     lines = dom.read_text().splitlines()
     assert lines[0] == "t,value" and len(lines) == 202
+
+
+@pytest.mark.parametrize("n,seed", [(5, 30), (9, 10)])
+def test_pathlab_on_path_anchored_twice_at_one_node(tmp_path, capsys, n, seed):
+    # both ends of a path structure hang off the same unmatched node
+    path = tmp_path / "er.json"
+    args = ["generate", "--topology", "erdos_renyi", "--n", str(n), "--seed", str(seed),
+            "--base", "1.0,1.6,2.3", "--jitter", "0.15", "--output", str(path)]
+    assert main(args) == 0
+    rc = main(["pathlab", "--input", str(path), "--horizon", "100", "--big-delta", "0.05", "--delta", "0.01"])
+    out, err = capsys.readouterr()
+    assert rc in (0, 1) and "Traceback" not in err
+    assert "structure 0: sandwich" in out

@@ -327,7 +327,21 @@ def test_edge_index_memory_is_linear_on_a_star():
     idx = EdgeIndex(inst)
     entries = sum(v.size for v in vars(idx).values() if isinstance(v, np.ndarray))
     assert entries <= 8 * (idx.n + 2 * idx.m)
+    assert not any(isinstance(v, (dict, list)) for v in vars(idx).values())
     nxt = idx.step_alpha(np.zeros(2 * idx.m), 0.5)
     # a leaf's only neighbour is the hub, so its message relaxes toward 0
     assert nxt.shape == (2 * k,) and np.all(nxt[idx.src != 0] == 0.0)
     assert np.all(nxt[idx.src == 0] > 0.0)
+
+
+def test_slot_round_trips_every_directed_edge():
+    for inst in _kernel_instances():
+        idx = EdgeIndex(inst)
+        for d, (i, j) in enumerate(idx.directed_pairs()):
+            assert idx.slot(i, j) == d
+            assert d // 2 == idx.slot(j, i) // 2 and idx.w[d] == inst.weight(i, j)
+        edges = inst.edge_set()
+        off = [(i, j) for i in range(inst.n) for j in range(inst.n) if (min(i, j), max(i, j)) not in edges]
+        for (i, j) in off[:20] + [(0, inst.n), (0, -1)]:
+            with pytest.raises(KeyError):
+                idx.slot(i, j)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from netbargain.instance import (
     GeneratorSpec,
     Instance,
     InstanceError,
+    canon,
     dumps,
     generate,
     loads,
@@ -32,6 +34,7 @@ def test_load_e2_document():
     [
         ('{"nodes": 2, "edges": [{"u": 0, "v": 1, "w": 0}]}', "non-positive"),
         ('{"nodes": 2, "edges": [{"u": 0, "v": 1, "w": -0.5}]}', "non-positive"),
+        ('{"nodes": 2, "edges": [{"u": 0, "v": 1, "w": 5e-324}]}', "subnormal"),
         ('{"nodes": 2, "edges": [{"u": 0, "v": 3, "w": 1}]}', "dangling"),
         ('{"nodes": 2, "edges": [{"u": 1, "v": 1, "w": 1}]}', "self-loop"),
         (
@@ -50,6 +53,27 @@ def test_load_e2_document():
 def test_load_rejects(doc, msg):
     with pytest.raises(InstanceError, match=msg):
         loads(doc)
+
+
+def test_isolated_nodes_cost_no_memory():
+    tracemalloc.start()
+    try:
+        inst = loads('{"nodes": 2000000, "edges": []}')
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert inst.neighbors(1_999_999) == () and inst.degree(0) == 0
+
+
+def test_weight_is_keyed_by_canonical_edge(e4):
+    for (u, v, w) in e4.edges:
+        assert e4.weight(u, v) == e4.weight(v, u) == e4.weights[canon(u, v)] == w
+    assert list(e4.weights) == [canon(u, v) for (u, v, _) in e4.edges]
+    with pytest.raises(KeyError):
+        e4.weight(0, 2)
+    with pytest.raises(TypeError):
+        e4.weights[(0, 2)] = 1.0
 
 
 def test_max_weight(e2, t1):

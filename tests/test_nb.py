@@ -155,7 +155,7 @@ def test_property_suite_rejects_non_fixed_point(e2):
     sol = nb_oracle(e2).solutions[0]
     fp = fp_from_nb(sol, e2)
     bumped = fp.alpha.copy()
-    bumped[fp.index.pos[(1, 0)]] += 0.3
+    bumped[fp.index.slot(1, 0)] += 0.3
     with pytest.raises(ValueError, match="not a fixed point"):
         fp_property_suite(derive(bumped, fp.index), e2, classify(e2))
 
@@ -166,7 +166,7 @@ def test_property_suite_diagnoses_perturbed_state(e2):
     sol = nb_oracle(e2).solutions[0]
     fp = fp_from_nb(sol, e2)
     bumped = fp.alpha.copy()
-    bumped[fp.index.pos[(1, 0)]] += 0.3
+    bumped[fp.index.slot(1, 0)] += 0.3
     report = fp_property_suite(derive(bumped, fp.index), e2, classify(e2), residual_tol=np.inf)
     assert not report.passed
     bal = report.checks["balance_everywhere"]

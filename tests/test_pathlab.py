@@ -124,6 +124,21 @@ def _e2_setup(e2):
     return fp, dec
 
 
+def test_structure_path_anchored_twice_at_one_node():
+    # unmatched node 1 anchors both ends of the only structure
+    from netbargain.experiment import reference_solution
+    from netbargain.instance import GeneratorSpec, generate
+
+    inst = generate(GeneratorSpec("erdos_renyi", (5,), base=(1.0, 1.6, 2.3), jitter=0.15, seed=30))
+    ref = reference_solution(inst)
+    fp = fp_from_nb(ref.solution, inst)
+    seq, weights, matched, slots = structure_path(ref.decomposition, 0, fp.index)
+    assert seq == [1, 0, 3, 2, 4, 1] and matched == (False, True, False, True, False)
+    assert weights == tuple(inst.weight(a, b) for a, b in zip(seq, seq[1:]))
+    pairs = fp.index.directed_pairs()
+    assert [pairs[d] for d in slots] == [p for a, b in zip(seq, seq[1:]) for p in ((a, b), (b, a))]
+
+
 def test_bounding_e2_exact_values(e2):
     fp, dec = _e2_setup(e2)
     seq, weights, matched, slots = structure_path(dec, 0, fp.index)
