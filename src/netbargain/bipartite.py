@@ -10,11 +10,11 @@ and symmetrically for sellers.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import DynamicsConfig, EdgeIndex, MessageState, derive
+from .dynamics import DynamicsConfig, EdgeIndex, run
 from .instance import Instance
 
 __all__ = [
@@ -120,27 +120,17 @@ def run_extremal(
     """
     from .nb import NBSolution, certify
 
-    cfg = config or DynamicsConfig()
     idx = EdgeIndex(inst)
-    alpha = extremal_init(inst, part, side, index=idx)
-    threshold = cfg.kappa * cfg.eps_conv
-    converged = False
-    t = 0
-    for t in range(1, cfg.max_iters + 1):
-        nxt = idx.step_alpha(alpha, cfg.kappa)
-        ok = (
-            order_leq(nxt, alpha, part, idx, tol=monotone_tol)
-            if side == "buyer"
-            else order_leq(alpha, nxt, part, idx, tol=monotone_tol)
-        )
-        if not ok:
+    start = extremal_init(inst, part, side, index=idx)
+
+    def monotone(t, prev, nxt):
+        lo, hi = (nxt, prev) if side == "buyer" else (prev, nxt)
+        if not order_leq(lo, hi, part, idx, tol=monotone_tol):
             raise AssertionError(f"monotonicity broken at step {t} from the {side} start")
-        change = float(np.abs(nxt - alpha).max()) if idx.m else 0.0
-        alpha = nxt
-        if change <= threshold:
-            converged = True
-            break
-    state = derive(alpha, idx, time=t)
+
+    cfg = replace(config or DynamicsConfig(), init="explicit", alpha0=start)
+    state, t, _, converged = run(idx, cfg, observe=monotone)
+    alpha = state.alpha
     # strong-dotted edges carry the pairing of the extremal outcome
     slack = idx.w[0::2] - alpha[0::2] - alpha[1::2]  # per undirected edge
     strong = frozenset(e for e, s in zip(inst.weights, slack) if s > 1e-6)

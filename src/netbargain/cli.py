@@ -16,7 +16,7 @@ import numpy as np
 from . import bipartite as bp
 from . import instance as inst_mod
 from . import pathlab
-from .dynamics import DynamicsConfig, EdgeIndex, extract_pairing, run
+from .dynamics import DynamicsConfig, extract_pairing, run
 from .experiment import ExperimentSpec, reference_solution, run_experiment
 from .instance import GeneratorSpec, Instance, InstanceError
 from .slack import DecompositionError, check_fp_identities, decompose
@@ -131,19 +131,23 @@ def cmd_verify(args) -> int:
             sol = nb_from_fp(state, inst, report)
             lines.append(f"outcome: matching={sorted(sol.matching)} certified={sol.certified}")
             ok = ok and sol.certified
-            try:
-                dec = decompose(state, sol, inst)
-                lines.append(dec.summary())
-                ident = check_fp_identities(dec, state, inst, tol=1e-6)
-                lines.append(ident.table())
-                lines.append(f"message identities: {'pass' if ident.passed else 'FAIL'}")
-                ok = ok and ident.passed
-                if dec.gap is not None and args.margin is None:
-                    pairs, amb, unpaired = extract_pairing(state, dec.gap / 3.0)
-                    lines.append(f"pairing: pairs={sorted(pairs)} ambiguous={sorted(amb)} unpaired={sorted(unpaired)}")
-            except DecompositionError as e:
-                lines.append(f"decomposition failed: {e}")
-                ok = False
+            if not sol.matching:
+                lines.append("decomposition: no structures (empty outcome)")
+            else:
+                try:
+                    dec = decompose(state, sol, inst)
+                    lines.append(dec.summary())
+                    ident = check_fp_identities(dec, state, inst, tol=1e-6)
+                    lines.append(ident.table())
+                    lines.append(f"message identities: {'pass' if ident.passed else 'FAIL'}")
+                    ok = ok and ident.passed
+                    if args.margin is not None or dec.gap is not None:
+                        margin = dec.gap / 3.0 if args.margin is None else args.margin
+                        pairs, amb, unpaired = extract_pairing(state, margin)
+                        lines.append(f"pairing: pairs={sorted(pairs)} ambiguous={sorted(amb)} unpaired={sorted(unpaired)}")
+                except DecompositionError as e:
+                    lines.append(f"decomposition failed: {e}")
+                    ok = False
     _write("\n".join(lines) + "\n", args.output)
     return PASS if ok else FAIL
 
@@ -194,7 +198,6 @@ def cmd_bipartite(args) -> int:
     cfg = DynamicsConfig(kappa=args.kappa, eps_conv=args.eps, max_iters=args.max_iters)
     ok = True
     sides = ["buyer", "seller"] if args.side == "both" else [args.side]
-    idx = EdgeIndex(inst)
     states = {}
     for side in sides:
         sol, state, iters, converged = bp.run_extremal(inst, part, side, cfg)
@@ -205,7 +208,7 @@ def cmd_bipartite(args) -> int:
         )
         ok = ok and converged and sol.certified
     if len(sides) == 2 and ok:
-        dom = bp.order_leq(states["seller"].alpha, states["buyer"].alpha, part, idx, tol=1e-9)
+        dom = bp.order_leq(states["seller"].alpha, states["buyer"].alpha, part, states["buyer"].index, tol=1e-9)
         lines.append(f"buyer-optimal dominates seller-optimal: {dom}")
         ok = ok and dom
     _write("\n".join(lines) + "\n", args.output)
@@ -222,6 +225,7 @@ def cmd_pathlab(args) -> int:
 
     fp = fp_from_nb(ref.solution, inst)
     dec = ref.decomposition
+    delta = args.delta if args.delta is not None else min(args.big_delta / 2, dec.gap)
     qs = [q for q, s in enumerate(dec.structures) if s.topology == "path"]
     if args.structure is not None:
         qs = [args.structure]
@@ -232,7 +236,7 @@ def cmd_pathlab(args) -> int:
         spec = pathlab.PathSpec(weights, matched, args.kappa)
         star = tuple(float(x) for x in fp.alpha[slots])
         for sign in (+1, -1):
-            cfg = pathlab.BoundingConfig(sign, args.big_delta, args.delta, star)
+            cfg = pathlab.BoundingConfig(sign, args.big_delta, delta, star)
             try:
                 states = pathlab.bounding_process(cfg, spec, args.horizon)
                 lines.append(f"structure {q} sign {sign:+d}: bound signs hold over {args.horizon} steps")
@@ -243,7 +247,7 @@ def cmd_pathlab(args) -> int:
                 lines.append(f"structure {q} sign {sign:+d}: BOUND SIGN VIOLATION {e}")
                 ok = False
         sandwiched = pathlab.sandwich_test(
-            fp, dec, q, args.big_delta, args.delta, args.horizon, kappa=args.kappa
+            fp, dec, q, args.big_delta, delta, args.horizon, kappa=args.kappa
         )
         lines.append(f"structure {q}: sandwich {'holds' if sandwiched else 'FAILS'}")
         ok = ok and sandwiched
@@ -337,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(pl)
     pl.add_argument("--structure", type=int, default=None)
     pl.add_argument("--big-delta", dest="big_delta", type=float, default=0.4)
-    pl.add_argument("--delta", type=float, default=0.2)
+    pl.add_argument("--delta", type=float, default=None, help="default min(big_delta / 2, gap)")
     pl.add_argument("--horizon", type=int, default=2000)
     pl.add_argument("--decay-csv", dest="decay_csv", default=None, help="write the bound's decay trace here")
     pl.add_argument("--domination-csv", dest="domination_csv", default=None, help="write per-step domination margins here")

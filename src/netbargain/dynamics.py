@@ -17,6 +17,7 @@ trajectories on the same graph advance together.
 from __future__ import annotations
 
 import io
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -204,30 +205,16 @@ class DynamicsConfig:
 
 @dataclass
 class Trace:
-    """Per-step convergence record, exportable as CSV.
-
-    u_g / u_gf are sup-distances to a reference fixed point (on all edges
-    and on a tracked edge subset) and stay empty without a reference.
-    """
+    """Per-step convergence record, exportable as CSV."""
 
     steps: list[int] = field(default_factory=list)
     step_change: list[float] = field(default_factory=list)
-    u_g: list[float | None] = field(default_factory=list)
-    u_gf: list[float | None] = field(default_factory=list)
-
-    def record(self, t, change, ug=None, ugf=None):
-        self.steps.append(t)
-        self.step_change.append(change)
-        self.u_g.append(ug)
-        self.u_gf.append(ugf)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
-        buf.write("t,step_change,u_g,u_gf\n")
-        for t, c, g, gf in zip(self.steps, self.step_change, self.u_g, self.u_gf):
-            sg = "" if g is None else repr(g)
-            sgf = "" if gf is None else repr(gf)
-            buf.write(f"{t},{c!r},{sg},{sgf}\n")
+        buf.write("t,step_change\n")
+        for t, c in zip(self.steps, self.step_change):
+            buf.write(f"{t},{c!r}\n")
         return buf.getvalue()
 
 
@@ -262,35 +249,31 @@ def step(state: MessageState, config: DynamicsConfig | None = None) -> MessageSt
 def run(
     inst_or_index,
     config: DynamicsConfig | None = None,
-    ref_alpha: np.ndarray | None = None,
-    ref_edges: list[tuple[int, int]] | None = None,
+    observe: Callable[[int, np.ndarray, np.ndarray], object] | None = None,
 ) -> tuple[MessageState, int, Trace, bool]:
     """Iterate to a numerical fixed point.
 
     Stops once the per-step change drops to kappa * eps_conv, which makes
     the undamped-map residual of the returned state at most eps_conv.
     Non-convergence within max_iters is reported through the flag.
+    `observe(t, prev, nxt)` is called after every step t; it may raise,
+    and a true return stops the run at that step as converged.
     """
     cfg = config or DynamicsConfig()
     idx = inst_or_index if isinstance(inst_or_index, EdgeIndex) else EdgeIndex(inst_or_index)
     alpha = _initial_alpha(idx, cfg)
     trace = Trace()
-    ref_ids = None
-    if ref_alpha is not None and ref_edges is not None:
-        ref_ids = np.array(
-            sorted(idx.slot(*p) for (i, j) in ref_edges for p in ((i, j), (j, i))), dtype=np.int64
-        )
     converged = False
     t = 0
     threshold = cfg.kappa * cfg.eps_conv
     for t in range(1, cfg.max_iters + 1):
         nxt = idx.step_alpha(alpha, cfg.kappa)
         change = float(np.abs(nxt - alpha).max()) if idx.m else 0.0
-        ug = float(np.abs(nxt - ref_alpha).max()) if ref_alpha is not None else None
-        ugf = float(np.abs(nxt[ref_ids] - ref_alpha[ref_ids]).max()) if ref_ids is not None else None
-        trace.record(t, change, ug, ugf)
+        trace.steps.append(t)
+        trace.step_change.append(change)
+        stop = observe is not None and observe(t, alpha, nxt)
         alpha = nxt
-        if change <= threshold:
+        if stop or change <= threshold:
             converged = True
             break
     m = idx.offers(alpha)

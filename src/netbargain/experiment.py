@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import networkx as nx
 import numpy as np
 
-from .dynamics import EdgeIndex
+from .dynamics import DynamicsConfig, EdgeIndex, run
 from .instance import GeneratorSpec, Instance, canon, generate, max_weight
 from .slack import SlackDecomposition, decompose
 from .matching import SizeCapError, classify
@@ -91,16 +91,21 @@ def iterations_to_eps(
     """First step from the zero start whose earnings land within eps."""
     idx = EdgeIndex(inst)
     target = np.asarray(gamma_ref)
-    alpha = np.zeros(2 * idx.m)
-    err = float(np.abs(idx.earnings(idx.offers(alpha)) - target).max())
+
+    def error(alpha):
+        return float(np.abs(idx.earnings(idx.offers(alpha)) - target).max())
+
+    err = error(np.zeros(2 * idx.m))
     if err <= eps:
         return 0, err
-    for t in range(1, max_iters + 1):
-        alpha = idx.step_alpha(alpha, kappa)
-        err = float(np.abs(idx.earnings(idx.offers(alpha)) - target).max())
-        if err <= eps:
-            return t, err
-    return None, err
+
+    def within_eps(t, prev, nxt):
+        nonlocal err
+        err = error(nxt)
+        return err <= eps
+
+    _, t, _, _ = run(idx, DynamicsConfig(kappa=kappa, eps_conv=0.0, max_iters=max_iters), observe=within_eps)
+    return (t, err) if err <= eps else (None, err)
 
 
 # -- family weight schemes -----------------------------------------------------

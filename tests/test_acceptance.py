@@ -5,6 +5,7 @@ lines. The random corpora are seeded, so every run checks the same
 instances.
 """
 
+import math
 import time
 
 import numpy as np
@@ -53,15 +54,21 @@ def corpus():
     return out
 
 
-def _run_batch(idx: EdgeIndex, alpha: np.ndarray, eps_conv=1e-9, max_iters=10**6):
-    threshold = KAPPA * eps_conv
-    for t in range(1, max_iters + 1):
-        nxt = idx.step_alpha(alpha, KAPPA)
-        change = np.abs(nxt - alpha).max()
-        alpha = nxt
-        if change <= threshold:
-            return alpha, t, True
-    return alpha, max_iters, False
+def _km_rate(W: float, kappa: float):
+    """Observer asserting the Krasnoselskii-Mann rate of the damped step.
+
+    Messages stay in [0, W]^{2m} and the undamped map is non-expansive in
+    the sup norm, so after t-1 >= 1 steps the residual change_t / kappa is
+    at most W / sqrt(pi (t-1) kappa (1-kappa)) (Baillon & Bruck 1996).
+    """
+
+    def check(t, prev, nxt):
+        if t >= 2:
+            residual = float(np.abs(nxt - prev).max()) / kappa
+            bound = W / math.sqrt(math.pi * (t - 1) * kappa * (1.0 - kappa))
+            assert residual <= bound + 1e-12 * W, f"step {t}: residual {residual:.3g} above rate bound {bound:.3g}"
+
+    return check
 
 
 def test_criterion_1_fixed_points_are_balanced_outcomes(corpus):
@@ -70,9 +77,10 @@ def test_criterion_1_fixed_points_are_balanced_outcomes(corpus):
         idx = EdgeIndex(inst)
         rng = np.random.default_rng(10_000 + k)
         alpha0 = rng.uniform(0.0, idx.W, size=(5, 2 * inst.m))
-        alpha, iters, converged = _run_batch(idx, alpha0)
+        cfg = DynamicsConfig(kappa=KAPPA, init="explicit", alpha0=alpha0)
+        batch, _, _, converged = run(idx, cfg, observe=_km_rate(idx.W, KAPPA))
         assert converged, f"instance {k} did not converge"
-        for row in alpha:
+        for row in batch.alpha:
             state = derive(row, idx)
             assert state.step_residual() <= 1e-9
             report = fp_property_suite(state, inst, cls, tol=1e-6)
@@ -82,6 +90,18 @@ def test_criterion_1_fixed_points_are_balanced_outcomes(corpus):
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     print(f"\n[criterion 1] PASS: 100 instances x 5 inits converge and certify ({elapsed:.1f}s)")
+
+
+@pytest.mark.parametrize("kappa", [0.2, 0.8])
+def test_criterion_1_rate_bound_at_other_dampings(corpus, kappa):
+    for k, (inst, _) in enumerate(corpus[:20]):
+        idx = EdgeIndex(inst)
+        rng = np.random.default_rng(10_000 + k)
+        alpha0 = rng.uniform(0.0, idx.W, size=(5, 2 * inst.m))
+        cfg = DynamicsConfig(kappa=kappa, init="explicit", alpha0=alpha0)
+        _, _, _, converged = run(idx, cfg, observe=_km_rate(idx.W, kappa))
+        assert converged, f"instance {k} did not converge at kappa {kappa}"
+    print(f"[criterion 1] PASS: rate bound holds at kappa {kappa} on 20 instances x 5 inits")
 
 
 def test_criterion_2_outcomes_become_fixed_points(corpus):

@@ -147,3 +147,12 @@ def test_monotone_descent_from_top(b1):
     part = check_bipartite(b1)
     run_extremal(b1, part, "buyer", DynamicsConfig(max_iters=500))
     run_extremal(b1, part, "seller", DynamicsConfig(max_iters=500))
+
+
+@pytest.mark.parametrize("side", ["buyer", "seller"])
+def test_monotone_check_fires_at_step_one(b1, side):
+    # a tolerance below -W demands every message move by more than W, which
+    # messages in [0, W] cannot do, so the very first step must fail
+    part = check_bipartite(b1)
+    with pytest.raises(AssertionError, match=f"monotonicity broken at step 1 from the {side} start"):
+        run_extremal(b1, part, side, monotone_tol=-11.0)

@@ -41,7 +41,7 @@ def test_run_writes_snapshot_and_trace(tmp_path, e2_file, capsys):
     )
     assert rc == 0
     lines = trace.read_text().splitlines()
-    assert lines[0] == "t,step_change,u_g,u_gf"
+    assert lines[0] == "t,step_change"
     snap = json.loads(out.read_text())
     assert snap["converged"] is True
     alpha = {(rec["from"], rec["to"]): float(rec["value"]) for rec in snap["alpha"]}
@@ -55,6 +55,23 @@ def test_verify_e2(e2_file, capsys):
     assert "gamma: [0.5, 1.5, 0.0]" in out
     assert "gap: 0.5" in out
     assert "pairs=[(0, 1)]" in out
+
+
+def test_verify_pairing_uses_margin_flag(e2_file, capsys):
+    assert main(["verify", "--input", e2_file, "--margin", "0.1"]) == 0
+    assert "pairing: pairs=[(0, 1)] ambiguous=[] unpaired=[2]" in capsys.readouterr().out
+    # a margin wider than every offer gap leaves the pairing undecided
+    assert main(["verify", "--input", e2_file, "--margin", "2.0"]) == 0
+    assert "pairing: pairs=[] ambiguous=[] unpaired=[0, 1, 2]" in capsys.readouterr().out
+
+
+def test_verify_edgeless_instance(tmp_path, capsys):
+    path = tmp_path / "edgeless.json"
+    path.write_text('{"nodes": 3, "edges": []}')
+    assert main(["verify", "--input", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "outcome: matching=[] certified=True" in out
+    assert "decomposition: no structures" in out and "decomposition failed" not in out
 
 
 def test_verify_triangle(tmp_path, t1, capsys):
@@ -220,3 +237,22 @@ def test_pathlab_on_path_anchored_twice_at_one_node(tmp_path, capsys, n, seed):
     out, err = capsys.readouterr()
     assert rc in (0, 1) and "Traceback" not in err
     assert "structure 0: sandwich" in out
+
+
+@pytest.fixture
+def small_gap_file(tmp_path):
+    # generated G(5, 1/2) instance whose gap (about 0.092) is below 0.2
+    path = tmp_path / "small_gap.json"
+    args = ["generate", "--topology", "erdos_renyi", "--n", "5", "--seed", "9",
+            "--base", "1.0,1.6,2.3", "--jitter", "0.15", "--output", str(path)]
+    assert main(args) == 0
+    return str(path)
+
+
+def test_pathlab_default_delta_follows_gap(small_gap_file, capsys):
+    assert main(["pathlab", "--input", small_gap_file, "--horizon", "200"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("sandwich holds") == 2
+    # an explicit delta above the gap is still a usage error
+    assert main(["pathlab", "--input", small_gap_file, "--horizon", "200", "--delta", "0.2"]) == 2
+    assert "delta must lie in" in capsys.readouterr().err

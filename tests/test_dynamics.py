@@ -113,7 +113,7 @@ def test_run_t1(t1):
 def test_trace_csv(e2):
     _, iters, trace, _ = run(e2)
     lines = trace.to_csv().strip().splitlines()
-    assert lines[0] == "t,step_change,u_g,u_gf"
+    assert lines[0] == "t,step_change"
     assert len(lines) == iters + 1
     assert trace.steps == sorted(trace.steps)
 
@@ -121,10 +121,47 @@ def test_trace_csv(e2):
 def test_trace_reference_columns(e2):
     idx = EdgeIndex(e2)
     ref = idx.alpha_from_map(E2_STAR)
-    _, _, trace, _ = run(e2, ref_alpha=ref, ref_edges=[(0, 1)])
-    assert trace.u_g[-1] <= 1e-8
-    assert all(g is not None for g in trace.u_g)
-    assert all(f is not None for f in trace.u_gf)
+    tracked = np.array(sorted([idx.slot(0, 1), idx.slot(1, 0)]))
+    u_g, u_gf = [], []
+
+    def distance(t, prev, nxt):
+        u_g.append(float(np.abs(nxt - ref).max()))
+        u_gf.append(float(np.abs(nxt[tracked] - ref[tracked]).max()))
+
+    _, iters, _, _ = run(idx, observe=distance)
+    assert len(u_g) == len(u_gf) == iters
+    assert u_g[-1] <= 1e-8
+    assert all(f <= g for f, g in zip(u_gf, u_g))
+
+
+def test_observer_sees_every_step_in_order(e2):
+    seen = []
+
+    def record(t, prev, nxt):
+        seen.append((t, prev.copy(), nxt.copy()))
+
+    state, iters, trace, converged = run(e2, observe=record)
+    assert converged
+    assert [t for t, _, _ in seen] == list(range(1, iters + 1)) == trace.steps
+    assert not seen[0][1].any()  # zero start
+    for (_, _, nxt), (_, prev, _) in zip(seen, seen[1:]):
+        assert np.array_equal(nxt, prev)
+    assert np.array_equal(seen[-1][2], state.alpha)
+    assert [float(np.abs(n - p).max()) for _, p, n in seen] == trace.step_change
+
+
+def test_observer_true_return_stops_as_converged(e2):
+    state, iters, trace, converged = run(e2, DynamicsConfig(eps_conv=0.0), observe=lambda t, p, n: t == 3)
+    assert (iters, converged, state.time, len(trace.steps)) == (3, True, 3, 3)
+
+
+def test_observer_exception_propagates(e2):
+    def fail(t, prev, nxt):
+        if t == 2:
+            raise RuntimeError("stop at 2")
+
+    with pytest.raises(RuntimeError, match="stop at 2"):
+        run(e2, observe=fail)
 
 
 def test_extract_pairing_e2(e2):
